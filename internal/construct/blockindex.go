@@ -18,7 +18,7 @@ import (
 // commitDelta from the commit's touched/removed entity sets (the same sets
 // the Graph Engine publishes to the operation log), with each touched
 // entity's stale postings invalidated per key before its fresh keys are
-// re-inserted. Because commits serialize under the pipeline's fusion lock,
+// re-inserted. Because commits serialize under the pipeline's commit lock,
 // the index observed by a delta's prepare phase is exactly the KG state at
 // batch start — the same state the full-scan path reads through KGView.
 //
@@ -54,10 +54,11 @@ type BlockIndex struct {
 	// refresh can invalidate its stale postings without rescanning the graph.
 	entries map[triple.EntityID]indexEntry
 	// owns, when set, restricts the index to the entity types it reports
-	// true for: partitioned pipelines give every partition an index over its
-	// owned types only, so N per-partition refreshes of one commit cost what
-	// the single index's one refresh did. An entity with no owned type is
-	// skipped before its blocking keys are even computed.
+	// true for: with N ≥ 2 partitions every partition indexes its owned
+	// types only (Pipeline.EnableBlockIndex), so N per-partition refreshes
+	// of one commit cost what one unrestricted refresh does. An entity with
+	// no owned type is skipped before its blocking keys are even computed;
+	// probes for non-owned types find empty postings.
 	owns func(entityType string) bool
 
 	// monitoring counters (guarded by mu)
@@ -86,16 +87,6 @@ func NewBlockIndex(blocker Blocker) *BlockIndex {
 	}
 }
 
-// NewOwnedBlockIndex constructs an index restricted to the entity types owns
-// reports true for; probes for non-owned types find empty postings. The
-// partitioned pipeline builds one per partition over the shared KG so each
-// partition's linking probes only its owned slice of the type space.
-func NewOwnedBlockIndex(blocker Blocker, owns func(entityType string) bool) *BlockIndex {
-	ix := NewBlockIndex(blocker)
-	ix.owns = owns
-	return ix
-}
-
 // Build populates the index from every entity currently in the graph: the
 // one full scan the index ever performs.
 func (ix *BlockIndex) Build(g *triple.Graph) {
@@ -110,7 +101,7 @@ func (ix *BlockIndex) Build(g *triple.Graph) {
 // Refresh re-indexes the given entities from the graph's current state:
 // stale postings are invalidated per key, then the entity's fresh keys are
 // inserted; entities absent from the graph are dropped entirely. commitDelta
-// calls this under the fusion lock with exactly the touched and removed
+// calls this under the commit lock with exactly the touched and removed
 // entity sets of the commit, which keeps the index transactional with the
 // KG.
 func (ix *BlockIndex) Refresh(g *triple.Graph, ids ...triple.EntityID) {

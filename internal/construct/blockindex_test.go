@@ -76,12 +76,13 @@ func TestBlockIndexEquivalenceProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(7 + int64(cap)))
 			ont := ontology.Default()
 			kgScan := NewKG()
-			scan := NewPipeline(kgScan, ont)
+			scan := NewPipeline(kgScan, ont, 1)
 			scan.Link.MaxBlockSize = cap
 			kgIdx := NewKG()
-			idx := NewPipeline(kgIdx, ont)
+			idx := NewPipeline(kgIdx, ont, 1)
 			idx.Link.MaxBlockSize = cap
-			ix := idx.EnableBlockIndex()
+			idx.EnableBlockIndex()
+			ix := idx.parts[0].index
 
 			var pool []triple.EntityID // consumed source IDs eligible for update/delete
 			for cycle := 0; cycle < 8; cycle++ {
@@ -163,7 +164,7 @@ func TestBlockIndexEquivalenceProperty(t *testing.T) {
 func TestLinkAgainstKGMatchesLinkEntities(t *testing.T) {
 	ont := ontology.Default()
 	kg := NewKG()
-	p := NewPipeline(kg, ont)
+	p := NewPipeline(kg, ont, 1)
 	seed := workloadDelta("base", 0, 30)
 	if _, err := p.ConsumeDelta(seed); err != nil {
 		t.Fatal(err)

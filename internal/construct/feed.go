@@ -96,11 +96,12 @@ type FeedOptions struct {
 	// once instead of once per batch. An error lands in every grouped
 	// batch's BatchResult; the feed keeps running either way.
 	Publish func(group []*FeedBatch) error
-	// OnClose, when set, runs exactly once inside the first Close call to
-	// finish — after both stage goroutines have exited and every submitted
-	// batch has settled, before Close returns. The platform's partitioned
-	// mode uses it to run the final cross-partition exchange, so Close
-	// returning implies fully exchanged, fully published serving stores.
+	// OnClose, when set, runs once on the publisher goroutine after the
+	// feed closed and every submitted batch settled, as the publisher's last
+	// act: Close (and Terminated) wait for it. The platform uses it to
+	// settle state its hooks held back (a final cross-partition exchange),
+	// so Close returning implies fully exchanged, fully published serving
+	// stores.
 	OnClose func()
 }
 
@@ -123,15 +124,6 @@ type feedItem struct {
 	err    error // commit-stage error, joined with the publish error at the end
 }
 
-// feedConsumer is the commit-side contract a feed drives: submission-time
-// validation plus ordered consumption of validated batches. Pipeline and
-// PartitionedPipeline both satisfy it; the ordering and identity contract
-// above binds whichever consumer the feed wraps.
-type feedConsumer interface {
-	validateDelta(d ingest.Delta) error
-	consumeValidated(deltas []ingest.Delta) ([]SourceStats, error)
-}
-
 // Feed is a standing ingestion loop over one Pipeline. Callers Submit
 // batches and receive a result channel per batch; internally a commit loop
 // consumes batches in submission order (batch N+1's snapshot and compute
@@ -143,7 +135,7 @@ type feedConsumer interface {
 // Consume/ConsumeDelta on the same pipeline concurrently with an open feed
 // (the platform layer enforces this by draining the feed first).
 type Feed struct {
-	p    feedConsumer
+	p    *Pipeline
 	opts FeedOptions
 
 	// submitMu serializes Submit so sequence numbers, commit order, and
@@ -153,10 +145,6 @@ type Feed struct {
 	commitQ  chan *feedItem
 	publishQ chan *feedItem
 	done     chan struct{} // closed when the publisher loop exits
-
-	// closeOnce guards the OnClose hook: it must run once, and concurrent
-	// Close calls must all wait for it before returning.
-	closeOnce sync.Once
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -176,18 +164,6 @@ type Feed struct {
 // NewFeed starts a standing feed over the pipeline. Close it when done; an
 // abandoned feed leaks its two stage goroutines.
 func NewFeed(p *Pipeline, opts FeedOptions) *Feed {
-	return newFeed(p, opts)
-}
-
-// NewPartitionedFeed starts a standing feed over a partitioned pipeline: the
-// commit loop drives the coordinator (which fans each commit's fusion across
-// partitions), and the publish stage is where the platform schedules the
-// batch-boundary exchange (FlushVolatile) between publishes.
-func NewPartitionedFeed(pp *PartitionedPipeline, opts FeedOptions) *Feed {
-	return newFeed(pp, opts)
-}
-
-func newFeed(p feedConsumer, opts FeedOptions) *Feed {
 	if opts.Queue <= 0 {
 		opts.Queue = DefaultFeedQueue
 	}
@@ -370,6 +346,9 @@ func (f *Feed) publishLoop() {
 			f.mu.Unlock()
 		}
 	}
+	if f.opts.OnClose != nil {
+		f.opts.OnClose()
+	}
 }
 
 // Drain blocks until every batch submitted before the call has fully
@@ -389,8 +368,8 @@ func (f *Feed) Drain() error {
 	return f.lastErr
 }
 
-// Terminated reports that the feed has fully stopped: Close finished, both
-// stage goroutines exited, and every submitted batch settled. A feed that
+// Terminated reports that the feed has fully stopped: both stage goroutines
+// exited, every submitted batch settled, and OnClose returned. A feed that
 // is merely closing (Close in progress, backlog still committing or
 // publishing) is not yet terminated.
 func (f *Feed) Terminated() bool {
@@ -416,9 +395,6 @@ func (f *Feed) Close() error {
 	f.mu.Unlock()
 	f.submitMu.Unlock()
 	<-f.done
-	if f.opts.OnClose != nil {
-		f.closeOnce.Do(f.opts.OnClose)
-	}
 	return f.Drain()
 }
 

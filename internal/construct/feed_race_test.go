@@ -22,7 +22,7 @@ import (
 
 func TestFeedConcurrentWithServingReaders(t *testing.T) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default())
+	p := construct.NewPipeline(kg, ontology.Default(), 1)
 	p.Workers = 4
 	p.EnableBlockIndex()
 

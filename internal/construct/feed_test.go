@@ -81,7 +81,7 @@ func reshape(batches [][]ingest.Delta, shape string) [][]ingest.Delta {
 
 func newFeedPipeline(workers int) (*KG, *Pipeline) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	p.Workers = workers
 	p.EnableBlockIndex()
 	return kg, p

@@ -183,7 +183,7 @@ func overlappingSpecs() []workload.SourceSpec {
 func TestPipelineWorkerCountByteIdentical(t *testing.T) {
 	run := func(workers int, indexed bool) *construct.KG {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ontology.Default())
+		p := construct.NewPipeline(kg, ontology.Default(), 1)
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -261,7 +261,7 @@ func TestConsumeParallelEqualsSequential(t *testing.T) {
 	}
 
 	kgSeq := construct.NewKG()
-	pSeq := construct.NewPipeline(kgSeq, ontology.Default())
+	pSeq := construct.NewPipeline(kgSeq, ontology.Default(), 1)
 	pSeq.Workers = 1
 	statsSeq, err := pSeq.ConsumeSequential(shuffle(independentDeltas(8)))
 	if err != nil {
@@ -269,7 +269,7 @@ func TestConsumeParallelEqualsSequential(t *testing.T) {
 	}
 
 	kgPar := construct.NewKG()
-	pPar := construct.NewPipeline(kgPar, ontology.Default())
+	pPar := construct.NewPipeline(kgPar, ontology.Default(), 1)
 	pPar.Workers = 8
 	statsPar, err := pPar.Consume(shuffle(independentDeltas(8)))
 	if err != nil {
@@ -310,7 +310,7 @@ func TestConcurrentConsumeDeltaRace(t *testing.T) {
 
 func testConcurrentConsumeDelta(t *testing.T, indexed bool) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default())
+	p := construct.NewPipeline(kg, ontology.Default(), 1)
 	if indexed {
 		p.EnableBlockIndex()
 	}
@@ -376,7 +376,7 @@ func TestConsumePipelinedBarrierSequentialByteIdentical(t *testing.T) {
 	}
 	run := func(consume consumeFn, workers int, indexed bool) (string, []construct.SourceStats) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ontology.Default())
+		p := construct.NewPipeline(kg, ontology.Default(), 1)
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -420,7 +420,7 @@ func TestConsumePipelinedBarrierSequentialByteIdentical(t *testing.T) {
 // under the race detector.
 func TestPipelinedConsumeConcurrentReaders(t *testing.T) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default())
+	p := construct.NewPipeline(kg, ontology.Default(), 1)
 	p.Workers = 4 // force the pipelined schedule even on single-CPU hosts
 	p.EnableBlockIndex()
 
@@ -439,7 +439,7 @@ func TestPipelinedConsumeConcurrentReaders(t *testing.T) {
 				}
 				atomic.AddInt64(&drained, int64(len(p.DrainConflicts())))
 				_ = p.FusionStats()
-				_ = p.Index.Stats()
+				_ = p.BlockIndexStats()
 				_ = kg.LinkCount()
 				_ = kg.Graph.Stats()
 			}

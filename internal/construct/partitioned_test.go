@@ -1,9 +1,9 @@
 package construct
 
-// Byte-identity coverage for the partitioned pipeline: across partition
-// counts, worker counts, and linking modes, a PartitionedPipeline must leave
-// (after the trailing exchange) exactly the KG, link table, and per-delta
-// stats of a single Pipeline over the same stream — including the
+// Byte-identity coverage for partitioned construction: across partition
+// counts, worker counts, and linking modes, a Pipeline with N partitions must
+// leave (after the trailing exchange) exactly the KG, link table, and
+// per-delta stats of the N=1 pipeline over the same stream — including the
 // flush-on-conflict interleavings where stable writes land on targets with
 // deferred volatile ops, and the deferral counters that make the exchange
 // window observable.
@@ -105,7 +105,7 @@ func workloadSourceIDs(batches [][]ingest.Delta) []triple.EntityID {
 
 func newSinglePipeline(workers int, indexed bool) (*KG, *Pipeline) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	p.Workers = workers
 	if indexed {
 		p.EnableBlockIndex()
@@ -113,8 +113,8 @@ func newSinglePipeline(workers int, indexed bool) (*KG, *Pipeline) {
 	return kg, p
 }
 
-func newPartitionedPipeline(partitions, workers int, indexed bool) *PartitionedPipeline {
-	pp := NewPartitionedPipeline(NewKG(), ontology.Default(), partitions)
+func newPartitionedPipeline(partitions, workers int, indexed bool) *Pipeline {
+	pp := NewPipeline(NewKG(), ontology.Default(), partitions)
 	pp.Workers = workers
 	if indexed {
 		pp.EnableBlockIndex()
@@ -141,8 +141,10 @@ func assertSameKG(t *testing.T, got, want *KG, ids []triple.EntityID) {
 }
 
 // TestPartitionedMatchesSinglePipeline is the tentpole property: partitioned
-// construction is byte-identical to the single pipeline across partition
-// counts × worker counts × linking modes, per-delta stats included.
+// construction is byte-identical to the single-partition pipeline across
+// partition counts × worker counts × linking modes, per-delta stats
+// included. A single partition applies volatile overwrites in place and
+// never defers.
 func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 	batches := partitionedWorkload(7, 4, 10)
 	ids := workloadSourceIDs(batches)
@@ -152,7 +154,7 @@ func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 			mode = "fullscan"
 		}
 		for _, workers := range []int{1, 4} {
-			// Reference: the single pipeline at the same worker count.
+			// Reference: one partition at the same worker count.
 			wantKG, single := newSinglePipeline(workers, indexed)
 			wantStats := make([][]SourceStats, len(batches))
 			for i, b := range batches {
@@ -186,6 +188,9 @@ func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 					}
 					if parts > 1 && st.Enqueued == 0 {
 						t.Fatal("stream exercised no deferred volatile traffic")
+					}
+					if parts == 1 && st.Enqueued != 0 {
+						t.Fatalf("one partition deferred volatile ops: %+v", st)
 					}
 				})
 			}
@@ -347,7 +352,7 @@ func TestPartitionedFeedMatchesConsume(t *testing.T) {
 	assertSameKG(t, serial.KG, wantKG, ids)
 
 	pp := newPartitionedPipeline(3, 2, true)
-	f := NewPartitionedFeed(pp, FeedOptions{Queue: 2, PublishQueue: 1})
+	f := NewFeed(pp, FeedOptions{Queue: 2, PublishQueue: 1})
 	results := make([]<-chan BatchResult, len(batches))
 	for i, b := range batches {
 		results[i] = f.Submit(b)

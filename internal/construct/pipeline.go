@@ -14,6 +14,18 @@ import (
 // framework (§2.4, Figure 5). It always operates on source diffs: a brand-new
 // source arrives as a full Added payload.
 //
+// Construction is sharded across N ≥ 1 partitions over one shared KG: entity
+// types hash to an owner partition (PartitionOfType), each partition keeps
+// its own block index over its owned types and its own fusion counters, and
+// a commit's fusion work fans out across partitions on the worker budget,
+// while minting, linking, and object resolution run once per commit in
+// canonical input order. Serving needs no merge step — every partition writes
+// the one shared Graph, link table, and derived caches. At N=1 the single
+// partition owns every type and the schedule below is the whole story; at
+// N ≥ 2 volatile overwrites additionally defer to the owner partition's
+// backlog and apply at exchange points (see partition.go and
+// docs/INVARIANTS.md#cross-partition-linking). Every N constructs the same KG.
+//
 // Commit-pipeline invariants (what may overlap, what serializes):
 //
 //   - Validation of every delta in a Consume batch completes before the first
@@ -28,17 +40,17 @@ import (
 //     clustering) is pure and runs concurrently on the worker pool — across
 //     deltas and, within a delta, across type groups and candidate-graph
 //     components. It may overlap any commit.
-//   - Commits serialize under the fusion lock in input order: commit i starts
+//   - Commits serialize under the commit lock in input order: commit i starts
 //     as soon as compute i and commit i−1 are both done (pipelined Consume),
 //     so delta i's fusion overlaps delta j's compute for j > i. Every graph
 //     write — minting, object resolution, stub creation, fusion, index and
-//     resolver-cache maintenance — happens inside a commit, in an order fixed
-//     by the input alone.
+//     resolver-cache maintenance — happens inside a commit (or an exchange,
+//     under the same lock), in an order fixed by the input alone.
 //
-// A parallel, pipelined run therefore writes a KG byte-identical to a
-// sequential one.
+// A parallel, pipelined, partitioned run therefore writes a KG byte-identical
+// to a sequential single-partition one.
 type Pipeline struct {
-	// KG is the graph under construction.
+	// KG is the graph under construction; all partitions write it.
 	KG *KG
 	// Ont is the shared ontology.
 	Ont *ontology.Ontology
@@ -54,13 +66,6 @@ type Pipeline struct {
 	// preparation): 0 means GOMAXPROCS, 1 forces the sequential reference
 	// path. The produced KG is identical for every value.
 	Workers int
-	// Index, when non-nil, switches linking to the incremental path: deltas
-	// probe the block-key → entity-ID index for KG-side candidates instead
-	// of scanning the full per-type KG view, and every commit refreshes the
-	// index for exactly the entities it touched or removed. Enable through
-	// EnableBlockIndex so the index is populated and wired to the linking
-	// blocker; the constructed KG is byte-identical with and without it.
-	Index *BlockIndex
 	// PerEntityFusion opts the commit phase out of batched per-target fusion
 	// and fuses payload entities one Graph.Update round-trip at a time — the
 	// pre-batching reference path, kept as the ablation baseline the
@@ -68,14 +73,21 @@ type Pipeline struct {
 	PerEntityFusion bool
 
 	// commitHook, when set (tests only), runs at the start of every
-	// commitDelta under the fusion lock, before any graph write; a non-nil
+	// commitDelta under the commit lock, before any graph write; a non-nil
 	// error aborts that delta's commit cleanly, leaving the KG and the
 	// KG-derived caches exactly as the previous commit left them. It exists
 	// to exercise the mid-batch commit-error contract, which no production
 	// commit path currently triggers on its own.
 	commitHook func(source string) error
 
-	fuseMu      sync.Mutex
+	// parts holds the per-partition state: the owned block index (nil until
+	// EnableBlockIndex — the full-scan reference path) and fusion counters.
+	parts []partition
+
+	// commitMu is the commit lock: commits and volatile exchanges serialize
+	// under it (volatile overwrite and stable fusion on one target do not
+	// commute, so exchanges cannot slide past commits).
+	commitMu    sync.Mutex
 	conflictsMu sync.Mutex
 	conflicts   []Conflict
 
@@ -85,8 +97,19 @@ type Pipeline struct {
 	resolverMu    sync.Mutex
 	aliasResolver *AliasResolver
 
+	// fusionMu guards fusion and every partition's fusion counters.
 	fusionMu sync.Mutex
 	fusion   FusionStats
+
+	// volatileMu guards the deferred-overwrite backlog (N ≥ 2 only).
+	// backlogs[i] holds the boundary blocks owned by partition i; pendingPart
+	// pins each pending target to the partition that first enqueued it, so a
+	// target whose type set changes mid-window cannot end up split across two
+	// partitions (the per-target op order must stay total).
+	volatileMu  sync.Mutex
+	backlogs    []map[triple.EntityID][]volatileOp
+	pendingPart map[triple.EntityID]int
+	volStats    VolatileBacklogStats
 }
 
 // FusionStats counts the commit phase's fusion traffic. Payloads/Targets is
@@ -114,32 +137,54 @@ func (p *Pipeline) workers() int {
 	return effectiveWorkers(p.Link.Workers)
 }
 
-// NewPipeline wires a construction pipeline over the given KG and ontology
-// with default linking and fusion parameters.
-func NewPipeline(kg *KG, ont *ontology.Ontology) *Pipeline {
-	return &Pipeline{KG: kg, Ont: ont, Fuser: &Fuser{Ont: ont}}
+// NewPipeline wires a construction pipeline with the given partition count
+// (< 1 means 1) over the shared KG and ontology, with default linking and
+// fusion parameters.
+func NewPipeline(kg *KG, ont *ontology.Ontology, partitions int) *Pipeline {
+	if partitions < 1 {
+		partitions = 1
+	}
+	p := &Pipeline{KG: kg, Ont: ont, Fuser: &Fuser{Ont: ont}}
+	p.parts = make([]partition, partitions)
+	p.backlogs = make([]map[triple.EntityID][]volatileOp, partitions)
+	for i := range p.backlogs {
+		p.backlogs[i] = make(map[triple.EntityID][]volatileOp)
+	}
+	p.pendingPart = make(map[triple.EntityID]int)
+	return p
 }
 
-// EnableBlockIndex builds the persistent block index from the KG's current
-// state (the one full scan it ever performs) over the pipeline's linking
-// blocker and switches linking to the incremental path. Call after wiring
-// Link and before consuming deltas; every subsequent commit keeps the index
-// transactional with the KG.
-func (p *Pipeline) EnableBlockIndex() *BlockIndex {
-	ix := NewBlockIndex(p.Link.withDefaults().Blocker)
-	ix.Build(p.KG.Graph)
-	p.Index = ix
-	return ix
+// EnableBlockIndex builds one block index per partition, restricted to the
+// partition's owned types, from the KG's current state (the one full scan
+// it ever performs) over the pipeline's linking blocker, and switches
+// linking to the incremental path. Call after wiring Link and before
+// consuming deltas; every subsequent commit keeps the indexes transactional
+// with the KG. Every entity indexes in exactly the partitions that own one
+// of its types, so the N per-commit refreshes together cost one index's.
+func (p *Pipeline) EnableBlockIndex() {
+	blocker := p.Link.withDefaults().Blocker
+	for i := range p.parts {
+		ix := NewBlockIndex(blocker)
+		if len(p.parts) > 1 {
+			part := i
+			ix.owns = func(entityType string) bool { return p.partOfType(entityType) == part }
+		}
+		ix.Build(p.KG.Graph)
+		p.parts[i].index = ix
+	}
 }
 
-// RefreshKGCaches re-derives the pipeline's KG-derived caches — the block
-// index and the cached alias resolver — for the given entities from the KG's
-// current state. The pipeline keeps both current for its own commits; callers
-// that mutate the graph directly (curation hot fixes, manual repairs) must
-// report the entities they touched or deleted here.
+// RefreshKGCaches re-derives the pipeline's KG-derived caches — every
+// partition's block index and the cached alias resolver — for the given
+// entities from the KG's current state. The pipeline keeps them current for
+// its own commits; callers that mutate the graph directly (curation hot
+// fixes, manual repairs) must report the entities they touched or deleted
+// here.
 func (p *Pipeline) RefreshKGCaches(ids ...triple.EntityID) {
-	if p.Index != nil {
-		p.Index.Refresh(p.KG.Graph, ids...)
+	for i := range p.parts {
+		if ix := p.parts[i].index; ix != nil {
+			ix.Refresh(p.KG.Graph, ids...)
+		}
 	}
 	p.resolverMu.Lock()
 	cached := p.aliasResolver
@@ -147,12 +192,6 @@ func (p *Pipeline) RefreshKGCaches(ids ...triple.EntityID) {
 	if cached != nil {
 		cached.Refresh(p.KG.Graph, ids...)
 	}
-}
-
-// RefreshBlockIndex is the pre-cache name of RefreshKGCaches, kept for
-// callers wired before the alias-resolver cache existed.
-func (p *Pipeline) RefreshBlockIndex(ids ...triple.EntityID) {
-	p.RefreshKGCaches(ids...)
 }
 
 // kgResolver returns the cached incremental alias resolver, building it from
@@ -266,20 +305,14 @@ type preparedDelta struct {
 	resolutions []typeResolution // one per addTypes entry, same order
 }
 
-// validateDelta checks the pipeline wiring and the delta payload before any
-// state changes. Consume validates every delta of a batch before the first
-// commit, so a batch containing a bad delta leaves the KG untouched instead
-// of half-applied.
+// validateDelta checks the pipeline wiring and the delta payload (nil
+// entities, empty IDs) before any state changes. Consume validates every
+// delta of a batch before the first commit, so a batch containing a bad
+// delta leaves the KG untouched instead of half-applied.
 func (p *Pipeline) validateDelta(d ingest.Delta) error {
 	if p.KG == nil || p.Ont == nil {
 		return fmt.Errorf("construct: pipeline missing KG or ontology")
 	}
-	return validateDeltaPayload(d)
-}
-
-// validateDeltaPayload checks the delta payload itself (nil entities, empty
-// IDs); shared by the single and partitioned pipelines.
-func validateDeltaPayload(d ingest.Delta) error {
 	check := func(kind string, ents []*triple.Entity) error {
 		for i, e := range ents {
 			if e == nil {
@@ -311,7 +344,8 @@ func validateDeltaPayload(d ingest.Delta) error {
 // snapshotDelta performs every KG read consuming the delta needs — update and
 // delete link lookups plus the per-type candidate gather (block-index probe
 // and candidate load, or KG-view materialization) — against the KG's current
-// state. With the block index enabled this is O(|delta|). The returned
+// state, each type group probing its owner partition's block index. With the
+// block index enabled this is O(|delta|). The returned
 // preparedDelta is self-contained: computeDelta never touches the KG, which
 // is what lets commits of earlier deltas overlap it. b is the consume call's
 // shared helper-goroutine budget.
@@ -342,11 +376,10 @@ func (p *Pipeline) snapshotDelta(d ingest.Delta, b *WorkerBudget) *preparedDelta
 	pd.addGroups, pd.addTypes = GroupByType(adds)
 	pd.plans = make([]typeLinkPlan, len(pd.addTypes))
 	params := p.Link.withDefaults()
-	index := p.Index
 	runIndexedBudget(b, p.workers(), len(pd.addTypes), func(i int) {
 		typ := pd.addTypes[i]
-		if index != nil {
-			pd.plans[i] = gatherTypeGroupIndexed(pd.addGroups[typ], p.KG, index, typ, params)
+		if ix := p.parts[p.partOfType(typ)].index; ix != nil {
+			pd.plans[i] = gatherTypeGroupIndexed(pd.addGroups[typ], p.KG, ix, typ, params)
 		} else {
 			pd.plans[i] = gatherTypeGroup(pd.addGroups[typ], p.KG.KGViewShared(typ), typ)
 		}
@@ -398,19 +431,27 @@ func (p *Pipeline) newBudget() *WorkerBudget {
 type fuseGroup struct {
 	id  triple.EntityID
 	ops []FuseOp
-	// part is the owning partition on the partitioned commit path (always 0
-	// for the single pipeline). Distinct groups target distinct entities, so
+	// part is the owning partition of the type context that first created
+	// the group. Distinct groups target distinct entities, so
 	// partition-parallel group application writes disjoint entity records.
 	part int
 }
 
-// commitDelta applies a prepared delta to the KG under the fusion lock: KG
+// commitDelta applies a prepared delta to the KG under the commit lock: KG
 // identifiers are minted in canonical type-then-cluster order, object
 // resolution runs (parallel over entities, with stub minting deferred to a
 // sequential canonical pass), and payloads fuse — grouped by target KG
-// entity, one batched fuse per target. Because every write happens here, in
-// an order fixed by the input alone, parallel and sequential runs produce
-// byte-identical KGs.
+// entity, one batched fuse per target, partitions in parallel. Because every
+// write happens here, in an order fixed by the input alone, parallel and
+// sequential runs produce byte-identical KGs.
+//
+// With N ≥ 2 partitions two steps change, neither of which changes final
+// bytes: after link assignment (which fixes this commit's stable write
+// targets) any deferred volatile ops on those targets flush first
+// (flush-on-conflict), and the trailing volatile stage enqueues to the owner
+// partition's backlog instead of writing the graph. Deferred targets still
+// count as Touched (they carry unpublished state), but only entities the
+// commit actually wrote refresh the KG-derived caches.
 func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats, error) {
 	d := pd.delta
 	stats := SourceStats{Source: d.Source}
@@ -419,8 +460,8 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		fuser = &Fuser{Ont: p.Ont}
 	}
 
-	p.fuseMu.Lock()
-	defer p.fuseMu.Unlock()
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
 
 	if p.commitHook != nil {
 		if err := p.commitHook(d.Source); err != nil {
@@ -455,6 +496,20 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	}
 	for _, u := range pd.updates {
 		assignment[u.ent.ID] = u.kgID
+	}
+
+	// Flush-on-conflict: this commit's stable writes land on the assignment
+	// and delete targets; any of them carrying deferred volatile ops replays
+	// those first.
+	if p.PendingVolatile() > 0 {
+		targets := make([]triple.EntityID, 0, len(assignment)+len(pd.deleteLinks))
+		for _, kgID := range assignment {
+			targets = append(targets, kgID)
+		}
+		for _, dl := range pd.deleteLinks {
+			targets = append(targets, dl.kgID)
+		}
+		p.flushTargets(targets, b)
 	}
 
 	// Object resolution over adds and updates, parallel per entity; dangling
@@ -513,16 +568,17 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	// merges).
 	groupIdx := make(map[triple.EntityID]int)
 	var groups []fuseGroup
-	addOp := func(id triple.EntityID, op FuseOp) {
+	addOp := func(id triple.EntityID, op FuseOp, part int) {
 		gi, ok := groupIdx[id]
 		if !ok {
 			gi = len(groups)
 			groupIdx[id] = gi
-			groups = append(groups, fuseGroup{id: id})
+			groups = append(groups, fuseGroup{id: id, part: part})
 		}
 		groups[gi].ops = append(groups[gi].ops, op)
 	}
-	for _, outcome := range outcomes {
+	for i, outcome := range outcomes {
+		part := p.partOfType(pd.addTypes[i])
 		for lo := 0; lo < len(outcome.SameAs); {
 			hi := lo + 1
 			for hi < len(outcome.SameAs) && outcome.SameAs[hi].Subject == outcome.SameAs[lo].Subject {
@@ -530,11 +586,12 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			}
 			carrier := triple.NewEntity(outcome.SameAs[lo].Subject)
 			carrier.Add(outcome.SameAs[lo:hi]...)
-			addOp(carrier.ID, FuseOp{Incoming: carrier})
+			addOp(carrier.ID, FuseOp{Incoming: carrier}, part)
 			lo = hi
 		}
 	}
 	for _, typ := range pd.addTypes {
+		part := p.partOfType(typ)
 		for _, e := range pd.addGroups[typ] {
 			kgID, ok := assignment[e.ID]
 			if !ok {
@@ -542,21 +599,33 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			}
 			linked := e.Clone()
 			linked.Rewrite(kgID, nil)
-			addOp(kgID, FuseOp{Incoming: linked})
+			addOp(kgID, FuseOp{Incoming: linked}, part)
 		}
 	}
 	for _, u := range pd.updates {
 		// Replace this source's stable contribution: strip, then re-fuse.
 		linked := u.ent.Clone()
 		linked.Rewrite(u.kgID, nil)
-		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked})
+		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked}, p.partOfEntity(u.ent))
 		stats.Updated++
 	}
-	var conflicts []Conflict
-	payloads := 0
-	for _, g := range groups {
-		payloads += len(g.ops)
-		if p.PerEntityFusion {
+	// Partition-parallel group application: distinct groups write distinct
+	// entities, so partitions touch disjoint records; within a partition
+	// groups apply in canonical creation order, and per-group conflicts
+	// reassemble in group order, so the curation stream is ordered as on a
+	// single partition.
+	perPart := make([][]int, len(p.parts))
+	for gi, g := range groups {
+		perPart[g.part] = append(perPart[g.part], gi)
+	}
+	groupConflicts := make([][]Conflict, len(groups))
+	runIndexedBudget(b, p.workers(), len(p.parts), func(pi int) {
+		for _, gi := range perPart[pi] {
+			g := groups[gi]
+			if !p.PerEntityFusion {
+				groupConflicts[gi] = fuser.FuseBatch(p.KG.Graph, g.id, g.ops)
+				continue
+			}
 			// Reference path: one graph round-trip and one conflict pass per
 			// payload entity.
 			for _, op := range g.ops {
@@ -564,18 +633,29 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 					removeSourceStable(p.KG.Graph, g.id, op.StripSource, p.Ont)
 				}
 				if op.Incoming != nil {
-					conflicts = append(conflicts, fuser.FuseEntity(p.KG.Graph, op.Incoming)...)
+					groupConflicts[gi] = append(groupConflicts[gi], fuser.FuseEntity(p.KG.Graph, op.Incoming)...)
 				}
 			}
-			continue
 		}
-		conflicts = append(conflicts, fuser.FuseBatch(p.KG.Graph, g.id, g.ops)...)
-	}
+	})
+	var conflicts []Conflict
 	p.fusionMu.Lock()
 	p.fusion.Commits++
 	p.fusion.Targets += len(groups)
-	p.fusion.Payloads += payloads
+	for pi, gis := range perPart {
+		if len(gis) > 0 {
+			p.parts[pi].fusion.Commits++
+			p.parts[pi].fusion.Targets += len(gis)
+		}
+		for _, gi := range gis {
+			p.fusion.Payloads += len(groups[gi].ops)
+			p.parts[pi].fusion.Payloads += len(groups[gi].ops)
+		}
+	}
 	p.fusionMu.Unlock()
+	for _, gc := range groupConflicts {
+		conflicts = append(conflicts, gc...)
+	}
 
 	touched := make(map[triple.EntityID]bool)
 	for _, kgID := range assignment {
@@ -595,7 +675,14 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		stats.addUnlink(dl.src)
 		stats.Deleted++
 	}
-	// Volatile partition overwrite runs after the stable payloads fused.
+	// Volatile partition overwrite runs after the stable payloads fused: in
+	// place on a single partition, deferred to the owner's backlog on several
+	// (written then snapshots the ids this commit actually wrote).
+	deferVolatile := len(p.parts) > 1
+	var written []triple.EntityID
+	if deferVolatile {
+		written = sortedIDs(touched)
+	}
 	removed := make(map[triple.EntityID]bool, len(stats.Removed))
 	for _, id := range stats.Removed {
 		removed[id] = true
@@ -613,30 +700,44 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			// no stable facts and put its id in both Touched and Removed.
 			continue
 		}
-		ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
+		if deferVolatile {
+			p.enqueueVolatile(kgID, d.Source, v)
+		} else {
+			ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
+		}
 		touched[kgID] = true
 		stats.Volatile++
 	}
-	for id := range touched {
-		stats.Touched = append(stats.Touched, id)
-	}
-	sort.Slice(stats.Touched, func(i, j int) bool { return stats.Touched[i] < stats.Touched[j] })
+	stats.Touched = sortedIDs(touched)
 	sort.Slice(stats.Removed, func(i, j int) bool { return stats.Removed[i] < stats.Removed[j] })
+	if !deferVolatile {
+		written = stats.Touched
+	}
 	stats.Conflicts = len(conflicts)
 	if len(conflicts) > 0 {
 		p.conflictsMu.Lock()
 		p.conflicts = append(p.conflicts, conflicts...)
 		p.conflictsMu.Unlock()
 	}
-	// Transactional cache maintenance: still under the fusion lock, re-index
+	// Transactional cache maintenance: still under the commit lock, re-index
 	// exactly the entities this commit wrote and drop the ones it removed —
-	// one refresh per target KG id — in both the block index and the cached
+	// one refresh per target KG id — in the block indexes and the cached
 	// alias resolver. The next prepare — whether of the next delta in this
 	// batch or a later batch — reads caches that match the graph it links
 	// against.
-	p.RefreshKGCaches(stats.Touched...)
+	p.RefreshKGCaches(written...)
 	p.RefreshKGCaches(stats.Removed...)
 	return stats, nil
+}
+
+// sortedIDs returns a set's members in canonical order.
+func sortedIDs(set map[triple.EntityID]bool) []triple.EntityID {
+	var out []triple.EntityID
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // ConsumeDelta runs one source's payload through the construction pipeline:
@@ -644,7 +745,7 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 // look up their existing links; volatile payloads overwrite their partition
 // after everything else fuses. Preparation (blocking, matching, clustering)
 // runs on the pipeline's worker pool; the commit phase serializes under the
-// fusion lock.
+// commit lock.
 func (p *Pipeline) ConsumeDelta(d ingest.Delta) (SourceStats, error) {
 	b := p.newBudget()
 	pd, err := p.prepareDelta(d, b)

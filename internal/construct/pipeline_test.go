@@ -25,7 +25,7 @@ func sourceArtist(source, local, name string, aliases ...string) *triple.Entity 
 
 func TestPipelineAddLinksDuplicates(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	delta := ingest.Delta{
 		Source: "musicdb",
 		Added: []*triple.Entity{
@@ -59,7 +59,7 @@ func TestPipelineAddLinksDuplicates(t *testing.T) {
 
 func TestPipelineCrossSourceLinking(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "src1",
 		Added:  []*triple.Entity{sourceArtist("src1", "x", "Frank Ocean")},
@@ -88,7 +88,7 @@ func TestPipelineCrossSourceLinking(t *testing.T) {
 
 func TestPipelineUpdateReplacesSourceFacts(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "s",
 		Added:  []*triple.Entity{sourceArtist("s", "a", "Old Name")},
@@ -115,7 +115,7 @@ func TestPipelineUpdateReplacesSourceFacts(t *testing.T) {
 
 func TestPipelineDeleteRemovesContribution(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "s1", Added: []*triple.Entity{sourceArtist("s1", "a", "Solo Artist")},
 	}); err != nil {
@@ -140,7 +140,7 @@ func TestPipelineDeleteRemovesContribution(t *testing.T) {
 func TestPipelineVolatileOverwrite(t *testing.T) {
 	ont := ontology.Default()
 	kg := NewKG()
-	p := NewPipeline(kg, ont)
+	p := NewPipeline(kg, ont, 1)
 	add := sourceArtist("s", "a", "Artist")
 	vol := triple.NewEntity("s:a")
 	vol.Add(triple.New("", "popularity", triple.Float(0.5)).WithSource("s", 0.9))
@@ -171,7 +171,7 @@ func TestPipelineVolatileOverwrite(t *testing.T) {
 
 func TestPipelineObjectResolution(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	// A song referencing its artist within the same batch.
 	song := triple.NewEntity("s:song1")
 	song.Add(triple.New("", triple.PredType, triple.String("song")).WithSource("s", 0.9))
@@ -215,7 +215,7 @@ func TestPipelineParallelConsumeConverges(t *testing.T) {
 	// Ten disjoint sources consumed in parallel must produce exactly the
 	// entities of the union with no data races or lost updates.
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	firsts := []string{"Amara", "Bruno", "Chidi", "Daphne", "Emeka", "Farida", "Goran", "Hana",
 		"Ivan", "Jun", "Kwame", "Leila", "Marco", "Nadia", "Omar", "Priya", "Quinn", "Rosa", "Sven", "Tala"}
 	lasts := []string{"Okafor", "Lindqvist", "Marchetti", "Novak", "Tanaka",
@@ -251,7 +251,7 @@ func TestPipelineParallelConsumeConverges(t *testing.T) {
 func TestPipelineConflictsDrain(t *testing.T) {
 	ont := ontology.Default()
 	kg := NewKG()
-	p := NewPipeline(kg, ont)
+	p := NewPipeline(kg, ont, 1)
 	a := sourceArtist("s1", "a", "Prince")
 	a.Add(triple.New("", "birth_date", triple.Time(mustTime(t, "1958-06-07"))).WithSource("s1", 0.9))
 	if _, err := p.ConsumeDelta(ingest.Delta{Source: "s1", Added: []*triple.Entity{a}}); err != nil {

@@ -534,3 +534,90 @@ func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 		})
 	}
 }
+
+// reopenWrites is one round of single-delta writes on the "src" source of
+// durabilityBatches: volatile churn, a whole-entity update, a delete that
+// may leave its KG entity with no contribution, and the re-add of the
+// deleted record, in the interleaving a serving workload produces.
+func reopenWrites(round int) [][]ingest.Delta {
+	var out [][]ingest.Delta
+	for i := 0; i < 6; i++ {
+		at := round*6 + i
+		e := workload.SourceSpec{Name: "src", Count: 1, Offset: at, RichFacts: 2, Seed: int64(500 + at)}.Entities()[0]
+		vol := triple.NewEntity(e.ID)
+		vol.Add(triple.New("", "popularity", triple.Float(float64(at))).WithSource("src", 0.9))
+		out = append(out,
+			[]ingest.Delta{{Source: "src", Volatile: []*triple.Entity{vol}}},
+			[]ingest.Delta{{Source: "src", Updated: []*triple.Entity{e}}},
+			[]ingest.Delta{{Source: "src", Deleted: []triple.EntityID{e.ID}}},
+			[]ingest.Delta{{Source: "src", Added: []*triple.Entity{e.Clone()}}},
+		)
+	}
+	return out
+}
+
+// TestWritesAfterReopenReachReplica: every write a standing feed commits on
+// a platform reopened from a checkpoint must reach the graph replica, on both
+// durable layouts with one and two partitions, across several
+// close/reopen rounds with periodic checkpoints and compaction running.
+func TestWritesAfterReopenReachReplica(t *testing.T) {
+	type config = struct {
+		name    string
+		parts   int
+		backend string
+	}
+	for _, cfg := range []config{{"hybrid", 1, ""}, {"hybrid-partitioned", 2, ""}, {"disk", 1, "disk"}, {"disk-partitioned", 2, "disk"}} {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			opts := durableOptions(cfg, t.TempDir())
+			opts.Durability.CheckpointEvery = 5
+			opts.Durability.CompactAfter = 1
+			p, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range durabilityBatches(4) {
+				if _, err := p.ConsumeDeltas(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for round := 0; round < 4; round++ {
+				if _, err := p.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if p, err = Open(opts); err != nil {
+					t.Fatal(err)
+				}
+				p.RefreshServing()
+				f, err := p.Feed(FeedOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var results []<-chan construct.BatchResult
+				for _, b := range reopenWrites(round) {
+					results = append(results, f.Submit(b))
+				}
+				for i, ch := range results {
+					if res := <-ch; res.Err != nil {
+						t.Fatalf("round %d write %d: %v", round, i, res.Err)
+					}
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := p.GraphReplica.Triples(), p.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: graph replica (%d triples) diverged from the KG (%d triples) after reopen", round, len(got), len(want))
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -133,10 +133,10 @@ func TestPartitionedPlatformSyncConsumeIdentity(t *testing.T) {
 	}
 }
 
-// TestPartitionedPlatformFeedIdentity: the standing feed's partitioned
-// publisher defers volatile-pending entities across exchange windows; after
-// the feed closes (final exchange), every store must hold exactly the single
-// pipeline's bytes.
+// TestPartitionedPlatformFeedIdentity: with several partitions the feed's
+// publisher holds volatile-pending entities back across exchange windows;
+// after the feed closes (final exchange), every store must hold exactly the
+// single partition's bytes. One partition never defers.
 func TestPartitionedPlatformFeedIdentity(t *testing.T) {
 	batches := partitionedStream(8, 3, 8)
 	run := func(partitions int) servingState {
@@ -156,20 +156,37 @@ func TestPartitionedPlatformFeedIdentity(t *testing.T) {
 				t.Fatalf("batch %d: %v", i, res.Err)
 			}
 		}
+		if partitions == 1 {
+			// One partition applies volatile writes in place: the last
+			// batch's churn is in the replica as soon as its result returns,
+			// before any exchange or Close.
+			last := batches[len(batches)-1][0]
+			v := last.Volatile[len(last.Volatile)-1]
+			kgID, ok := p.KG.Lookup(v.ID)
+			if !ok {
+				t.Fatalf("volatile target %s not linked", v.ID)
+			}
+			want := v.Get("popularity")[0]
+			e := p.GraphReplica.Get(kgID)
+			if e == nil || !hasValue(e.Get("popularity"), want) {
+				t.Fatalf("replica lacks volatile write %v on %s after its BatchResult", want, kgID)
+			}
+		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if partitions > 1 {
-			st := p.Stats()
-			if st.Partitions != partitions {
-				t.Fatalf("stats partitions = %d", st.Partitions)
-			}
-			if st.Volatile.Enqueued == 0 {
-				t.Fatal("stream exercised no deferred volatile traffic")
-			}
-			if st.Volatile.Pending != 0 {
-				t.Fatalf("pending volatile after close: %+v", st.Volatile)
-			}
+		st := p.Stats()
+		if st.Partitions != partitions {
+			t.Fatalf("stats partitions = %d", st.Partitions)
+		}
+		if partitions > 1 && st.Volatile.Enqueued == 0 {
+			t.Fatal("stream exercised no deferred volatile traffic")
+		}
+		if partitions == 1 && st.Volatile.Enqueued != 0 {
+			t.Fatalf("one partition deferred volatile ops: %+v", st.Volatile)
+		}
+		if st.Volatile.Pending != 0 {
+			t.Fatalf("pending volatile after close: %+v", st.Volatile)
 		}
 		return servingStateOf(t, p)
 	}
@@ -287,4 +304,14 @@ func TestPartitionedCurationAndConflicts(t *testing.T) {
 	if _, err := p.ConsumeDelta(d); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hasValue reports whether vals contains v.
+func hasValue(vals []triple.Value, v triple.Value) bool {
+	for _, x := range vals {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }

@@ -53,28 +53,22 @@ type ConstructionOptions struct {
 	// (pair scoring, component clustering, object resolution). 0 means
 	// GOMAXPROCS; 1 forces the sequential reference path. The constructed KG
 	// is identical for every value — workers only change wall-clock time.
+	// Linking always runs on the incremental block index, and fusion is
+	// always batched per target KG entity.
 	Workers int
-	// FullScanLinking disables the incremental block index and links every
-	// delta by scanning the full per-type KG view, the pre-index reference
-	// path. The default (false) maintains a persistent block-key → entity-ID
-	// index alongside the KG so per-delta linking cost tracks the delta, not
-	// the accumulated graph. Both modes construct byte-identical KGs.
-	FullScanLinking bool
-	// PerEntityFusion disables batched per-target fusion in the commit phase
-	// and fuses payload entities one graph round-trip at a time, the
-	// pre-batching reference path kept as the ablation baseline.
-	PerEntityFusion bool
 	// Partitions shards construction across N concurrently fusing pipeline
 	// partitions over one shared KG (entity types hash to an owner
-	// partition; cross-partition volatile traffic exchanges at batch
-	// boundaries — see docs/INVARIANTS.md#cross-partition-linking). 0 or 1
-	// keeps the single pipeline; every value constructs a byte-identical KG.
+	// partition; with N ≥ 2 cross-partition volatile traffic exchanges at
+	// batch boundaries — see docs/INVARIANTS.md#cross-partition-linking).
+	// 0 means 1; every value constructs a byte-identical KG.
 	Partitions int
-	// ExchangeInterval is the number of published feed batches between
-	// cross-partition exchanges (backlog flush + deferred publish) in
-	// partitioned mode; 0 means DefaultExchangeInterval. Entities with
+	// ExchangeInterval is the number of standing-feed batches between
+	// cross-partition exchanges (backlog flush + deferred publish) when
+	// Partitions ≥ 2; 0 means DefaultExchangeInterval. Entities with
 	// deferred volatile state publish at the next exchange (and always at
-	// drain), so the interval bounds serving staleness, never final state.
+	// drain, checkpoint, and Close; ConsumeDeltas without an open feed
+	// exchanges after its batch), so the interval bounds serving staleness,
+	// never final state.
 	ExchangeInterval int
 }
 
@@ -150,11 +144,9 @@ func (o Options) withDefaults() Options {
 type Platform struct {
 	Ont *ontology.Ontology
 	KG  *construct.KG
-	// Pipeline is the single construction pipeline; nil in partitioned mode.
+	// Pipeline is the construction pipeline (Construction.Partitions
+	// partitions over KG).
 	Pipeline *construct.Pipeline
-	// Partitioned is the partitioned construction coordinator; nil in
-	// single-pipeline mode. Exactly one of Pipeline/Partitioned is non-nil.
-	Partitioned *construct.PartitionedPipeline
 
 	Engine       *graphengine.Engine
 	EntityStore  *entitystore.Store
@@ -185,10 +177,12 @@ type Platform struct {
 
 	snapshots map[string]ingest.Snapshot
 
-	// feedMu guards the standing feed slot; at most one feed is open at a
-	// time so the pipeline's write path stays single-producer.
-	feedMu sync.Mutex
-	feed   *construct.Feed
+	// feedMu guards the feed slot; at most one feed is open at a time so the
+	// pipeline's write path and the engine stay single-producer. feedOwned
+	// marks a feed a platform call opened for itself (see acquireFeed).
+	feedMu    sync.Mutex
+	feed      *construct.Feed
+	feedOwned bool
 
 	// pendingMu guards publishes that failed against the engine; they are
 	// retried — re-synced against the KG's current state — at the next
@@ -201,16 +195,7 @@ type Platform struct {
 	// and can inject failures to exercise the retry path.
 	publishHook func(source string) error
 
-	// Partitioned-mode publish state (guarded by pubMu): the carry set maps
-	// each entity with unpublished committed effects to the source that last
-	// touched it. The publisher publishes carried entities whose state is
-	// final (no deferred volatile ops) immediately and holds the rest until
-	// the next exchange, when the backlog flushes and everything carried
-	// publishes at once; drain forces a final exchange.
-	pubMu         sync.Mutex
-	pubCarry      map[triple.EntityID]string // entity -> last-writing source
-	linkCarry     map[triple.EntityID]bool   // link-table keys with unpublished changes
-	pubBatches    int                        // published batches since the last exchange
+	// exchangeEvery is the standing feed's exchange cadence, in batches.
 	exchangeEvery int
 
 	// feedDefaults are the Options.Feed queue depths, applied when a Feed
@@ -232,7 +217,7 @@ type Platform struct {
 	prevCkptLSN  uint64
 	ckptEvery    int
 	compactAfter int
-	ckptBatches  int // published feed batches since the last periodic checkpoint
+	ckptBatches  int // committed feed batches since the last periodic checkpoint
 
 	// Background compactor. compactRunMu serializes compaction runs (the
 	// goroutine and explicit Compact calls); compactMu guards the trigger
@@ -361,27 +346,11 @@ func Open(opts Options) (*Platform, error) {
 		return nil, err
 	}
 
-	if opts.Construction.Partitions > 1 {
-		pp := construct.NewPartitionedPipeline(p.KG, opts.Ontology, opts.Construction.Partitions)
-		pp.Link = opts.Construction.LinkParams
-		pp.Workers = opts.Construction.Workers
-		pp.PerEntityFusion = opts.Construction.PerEntityFusion
-		if !opts.Construction.FullScanLinking {
-			pp.EnableBlockIndex()
-		}
-		p.Partitioned = pp
-	} else {
-		p.Pipeline = construct.NewPipeline(p.KG, opts.Ontology)
-		p.Pipeline.Link = opts.Construction.LinkParams
-		p.Pipeline.Workers = opts.Construction.Workers
-		p.Pipeline.PerEntityFusion = opts.Construction.PerEntityFusion
-		if !opts.Construction.FullScanLinking {
-			p.Pipeline.EnableBlockIndex()
-		}
-	}
+	p.Pipeline = construct.NewPipeline(p.KG, opts.Ontology, opts.Construction.Partitions)
+	p.Pipeline.Link = opts.Construction.LinkParams
+	p.Pipeline.Workers = opts.Construction.Workers
+	p.Pipeline.EnableBlockIndex()
 	p.exchangeEvery = opts.Construction.ExchangeInterval
-	p.pubCarry = make(map[triple.EntityID]string)
-	p.linkCarry = make(map[triple.EntityID]bool)
 	p.feedDefaults = opts.Feed
 	p.ckptEvery = opts.Durability.CheckpointEvery
 	p.compactAfter = opts.Durability.CompactAfter
@@ -415,70 +384,28 @@ func (p *Platform) IngestSource(src *ingest.Source, data io.Reader) (construct.S
 }
 
 // ConsumeDelta runs one delta through construction and publishes the touched
-// entities to the Graph Engine, then replays agents so all stores converge.
-// With a standing feed open, the delta is routed through the feed instead —
-// submitted as a single-delta batch and awaited — so the feed's commit loop
-// and ordered publisher remain the engine's only producer and publishes can
-// never reorder against concurrently submitted batches.
+// entities to the Graph Engine; it is ConsumeDeltas over a one-delta batch.
 func (p *Platform) ConsumeDelta(d ingest.Delta) (construct.SourceStats, error) {
-	if f := p.openFeed(); f != nil {
-		res := <-f.Submit([]ingest.Delta{d})
-		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			if len(res.Stats) == 1 {
-				return res.Stats[0], res.Err
-			}
-			return construct.SourceStats{Source: d.Source}, res.Err
-		}
-		// Closed between openFeed and Submit: nothing consumed. Wait for
-		// the closing feed's backlog to finish publishing so the
-		// synchronous path below never runs as a second concurrent
-		// producer, then fall through.
-		f.Drain()
-	}
-	var (
-		stats construct.SourceStats
-		err   error
-	)
-	if p.Partitioned != nil {
-		// Synchronous partitioned consume: commit, then exchange immediately
-		// (flush the deferred backlog) so the publish below ships final
-		// state — the sync path has no later exchange point to defer to.
-		var all []construct.SourceStats
-		all, err = p.Partitioned.Consume([]ingest.Delta{d})
-		p.Partitioned.FlushVolatile()
-		if len(all) == 1 {
-			stats = all[0]
-		} else {
-			stats = construct.SourceStats{Source: d.Source}
-		}
-	} else {
-		stats, err = p.Pipeline.ConsumeDelta(d)
-	}
-	if err != nil {
-		return stats, err
-	}
-	pubErr := p.flushPending()
-	if err := p.publishStats(stats); err != nil && pubErr == nil {
-		pubErr = err
-	}
-	if err := p.Engine.CatchUp(); err != nil && pubErr == nil {
-		pubErr = err
-	}
-	return stats, pubErr
+	all, err := p.ConsumeDeltas([]ingest.Delta{d})
+	st := all[0]
+	st.Source = d.Source
+	return st, err
 }
 
-// ConsumeDeltas consumes several sources through the pipelined commit path
-// (commit i overlaps the compute of deltas j > i), then publishes. Every
-// delta of the batch links against the KG state at batch start (that is what
-// makes the batch deterministic), so two sources in one batch that describe
-// the same real-world entity each mint their own KG entity — and resolution
-// never merges two existing KG entities afterwards (≤1 graph entity per
-// cluster). Batch only independent sources; consume related sources in
-// separate calls so the later one links against the earlier one's output.
-// For a continuously arriving stream of batches, prefer Feed: it overlaps
-// this call's publish tail with the next batch's construction. With a
-// standing feed open, the batch is routed through it (submitted and awaited)
-// so the feed stays the engine's only producer.
+// ConsumeDeltas consumes several sources as one feed batch and awaits it:
+// the batch commits on the pipelined path (commit i overlaps the compute of
+// deltas j > i), publishes, and replays into every agent before the call
+// returns. It submits to the open standing feed when there is one, and
+// otherwise to a feed opened for the call that exchanges right after the
+// batch, so the feed is always the engine's only producer. Every delta of the
+// batch links against the KG state at batch start (that is what makes the
+// batch deterministic), so two sources in one batch that describe the same
+// real-world entity each mint their own KG entity — and resolution never
+// merges two existing KG entities afterwards (≤1 graph entity per cluster).
+// Batch only independent sources; consume related sources in separate calls
+// so the later one links against the earlier one's output. For a
+// continuously arriving stream of batches, prefer Feed: it overlaps each
+// batch's publish tail with the next batch's construction.
 //
 // Error contract: a *construct.BatchError means the committed prefix (see
 // that type) stayed applied — its effects are still published so the stores
@@ -486,64 +413,8 @@ func (p *Platform) ConsumeDelta(d ingest.Delta) (construct.SourceStats, error) {
 // queued and re-synced from the KG at the next publish point, and agents are
 // always caught up on whatever reached the log before this call returns.
 func (p *Platform) ConsumeDeltas(deltas []ingest.Delta) ([]construct.SourceStats, error) {
-	if f := p.openFeed(); f != nil {
-		res := <-f.Submit(deltas)
-		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			return res.Stats, res.Err
-		}
-		// Closed between openFeed and Submit: nothing consumed. Wait for
-		// the closing feed's backlog to finish publishing so the
-		// synchronous path below never runs as a second concurrent
-		// producer, then fall through.
-		f.Drain()
-	}
-	var (
-		all []construct.SourceStats
-		err error
-	)
-	if p.Partitioned != nil {
-		all, err = p.Partitioned.Consume(deltas)
-		// Exchange before publishing: the committed prefix's deferred
-		// volatile state must be in the graph when publishStats captures it.
-		p.Partitioned.FlushVolatile()
-	} else {
-		all, err = p.Pipeline.Consume(deltas)
-	}
-	pubErr := p.flushPending()
-	for i := range all {
-		// On a mid-batch commit error the uncommitted entries are zero
-		// (empty Touched/Removed), so exactly the applied prefix publishes.
-		if perr := p.publishStats(all[i]); perr != nil && pubErr == nil {
-			pubErr = perr
-		}
-	}
-	if cerr := p.Engine.CatchUp(); cerr != nil && pubErr == nil {
-		pubErr = cerr
-	}
-	if err != nil {
-		return all, err
-	}
-	return all, pubErr
-}
-
-// publishStats ships one commit's effects (upserts of its touched entities,
-// deletes of its removed ones, plus its link-table deltas) into the engine,
-// without catching agents up; callers batch one CatchUp per consume call.
-func (p *Platform) publishStats(stats construct.SourceStats) error {
-	linkSrcs := linkKeysOf(stats)
-	if len(stats.Touched) == 0 && len(stats.Removed) == 0 && len(linkSrcs) == 0 {
-		return nil
-	}
-	payload := make([]*triple.Entity, 0, len(stats.Touched))
-	for _, id := range stats.Touched {
-		// Shared records: Publish only serializes them into the staging
-		// store, and agents replay decoded copies, so the publish path
-		// pays no clone per touched entity.
-		if e := p.KG.Graph.GetShared(id); e != nil {
-			payload = append(payload, e)
-		}
-	}
-	return p.publishRaw(stats.Source, payload, stats.Removed, linkSrcs)
+	res := p.await(func(f *construct.Feed) <-chan construct.BatchResult { return f.Submit(deltas) })
+	return res.Stats, res.Err
 }
 
 // linkKeysOf collects a commit's settled link-table keys (linked and
@@ -667,16 +538,16 @@ type FeedOptions struct {
 // constructs is byte-identical to back-to-back ConsumeDeltas calls over the
 // same batches; the serving stores converge to the same state once the feed
 // drains (a batch's BatchResult with a nil Err means it is committed,
-// published, and replayed into every agent).
+// published, and replayed into every agent — on a single partition; with
+// several, entities with deferred volatile ops publish at the next exchange).
 //
 // At most one feed is open at a time — the construction pipeline is the
 // polystore's single producer. While a feed is open, ConsumeDelta and
-// ConsumeDeltas route through it (submit and await), so every publish flows
-// through the feed's ordered publisher; checkpoint, serving-refresh, and
-// curation paths drain it first. Close the feed (or Drain it) before
-// reading the serving stores directly; quiesce submitters before applying
-// curation decisions so hot-fix publishes cannot interleave with captured
-// batch publishes.
+// ConsumeDeltas route through it (submit and await), and checkpoint,
+// serving-refresh, and curation paths take a barrier turn through it, which
+// also forces an exchange. Close the feed before reading the serving stores
+// directly; quiesce submitters before applying curation decisions so hot-fix
+// publishes cannot interleave with captured batch publishes.
 func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
 	if opts.Queue <= 0 {
 		opts.Queue = p.feedDefaults.Queue
@@ -684,48 +555,87 @@ func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
 	if opts.PublishQueue <= 0 {
 		opts.PublishQueue = p.feedDefaults.PublishQueue
 	}
-	p.feedMu.Lock()
-	defer p.feedMu.Unlock()
-	if p.feed != nil && !p.feed.Terminated() {
-		// Closed-but-still-draining counts as open: its commit loop and
-		// publisher are still producing, and two feeds would break the
-		// engine's single-producer ordering.
-		return nil, fmt.Errorf("core: a standing feed is already open")
+	for {
+		p.feedMu.Lock()
+		f, owned := p.feed, p.feedOwned
+		if f == nil || f.Terminated() {
+			f = p.openFeedLocked(opts, p.exchangeEvery, false)
+			p.feedMu.Unlock()
+			return f, nil
+		}
+		p.feedMu.Unlock()
+		if !owned {
+			// Closed-but-still-draining counts as open: its commit loop and
+			// publisher are still producing, and two feeds would break the
+			// engine's single-producer ordering.
+			return nil, fmt.Errorf("core: a standing feed is already open")
+		}
+		// A platform call's own feed: let its batches settle first (a call
+		// that has not submitted yet retries on this feed).
+		_ = f.Close() //saga:errok the owning call reports its own batch's error
 	}
-	var f *construct.Feed
-	if p.Partitioned != nil {
-		// Partitioned publish builds its events from batch stats and captures
-		// entity state at publish time (not commit time): entities with
-		// deferred volatile ops are carried to the next exchange, and carried
-		// state re-captures after the flush — capture-at-commit would pin the
-		// pre-flush bytes.
-		f = construct.NewPartitionedFeed(p.Partitioned, construct.FeedOptions{
-			Queue:        opts.Queue,
-			PublishQueue: opts.PublishQueue,
-			Publish:      p.publishPartitionedGroup,
-			// Close must leave nothing deferred: exchange and publish the
-			// whole carry set before it returns, so a closed feed means every
-			// store reflects every committed batch.
-			OnClose: p.finalExchange,
-		})
-	} else {
-		f = construct.NewFeed(p.Pipeline, construct.FeedOptions{
-			Queue:        opts.Queue,
-			PublishQueue: opts.PublishQueue,
-			OnCommit:     p.captureFeedBatch,
-			Publish:      p.publishFeedGroup,
-		})
+}
+
+// openFeedLocked starts a feed with the platform's capture and publish hooks
+// and installs it in the feed slot (callers hold feedMu, and the previous
+// feed has terminated). exchangeEvery is its cross-partition exchange
+// cadence in batches.
+func (p *Platform) openFeedLocked(opts FeedOptions, exchangeEvery int, owned bool) *construct.Feed {
+	c := &feedCapture{p: p, exchangeEvery: exchangeEvery, held: make(map[triple.EntityID]string)}
+	p.feed = construct.NewFeed(p.Pipeline, construct.FeedOptions{
+		Queue:        opts.Queue,
+		PublishQueue: opts.PublishQueue,
+		OnCommit:     c.capture,
+		Publish:      p.publishFeedGroup,
+		OnClose:      c.close,
+	})
+	p.feedOwned = owned
+	return p.feed
+}
+
+// acquireFeed returns the feed a platform call rides: the open standing feed,
+// or — when none is open — a feed opened for the call (owned), which
+// exchanges after every batch and which the caller closes once its turn has
+// settled. A feed that is still closing settles first, so there is never a
+// second producer.
+func (p *Platform) acquireFeed() (f *construct.Feed, owned bool) {
+	for {
+		p.feedMu.Lock()
+		f = p.feed
+		if f == nil || f.Terminated() {
+			f = p.openFeedLocked(p.feedDefaults, 1, true)
+			p.feedMu.Unlock()
+			return f, true
+		}
+		p.feedMu.Unlock()
+		if !f.Closed() {
+			return f, false
+		}
+		_ = f.Close() //saga:errok a closing feed's errors belong to its own batches
 	}
-	p.feed = f
-	return f, nil
+}
+
+// await takes one turn through the feed — a batch or a barrier — and waits
+// for its result: committed, published, and replayed into every agent.
+func (p *Platform) await(turn func(*construct.Feed) <-chan construct.BatchResult) construct.BatchResult {
+	for {
+		f, owned := p.acquireFeed()
+		res := <-turn(f)
+		if owned {
+			_ = f.Close() //saga:errok the turn's own error is in res
+		}
+		if !errors.Is(res.Err, construct.ErrFeedClosed) {
+			return res
+		}
+		// Closed between acquire and submit: nothing happened; go again.
+	}
 }
 
 // capturedOp is one delta's publish payload, captured on the feed's commit
 // loop right after its batch commits. Capturing there (shared records — no
 // clone, just pointer grabs) pins exactly the entity states the commit
 // produced, so the async publisher appends the same operations to the log
-// that the synchronous path would have, no matter how far construction has
-// advanced by the time the publish runs.
+// no matter how far construction has advanced by the time the publish runs.
 type capturedOp struct {
 	source   string
 	upserts  []*triple.Entity
@@ -733,14 +643,44 @@ type capturedOp struct {
 	linkSrcs []triple.EntityID
 }
 
-// captureFeedBatch is the feed's OnCommit hook (commit loop, ordered).
-func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
-	if b.Barrier {
-		// Barrier batches commit nothing; their payload is the injector's
-		// (e.g. a checkpoint request riding the ordered queue).
-		return
+// capturedBatch is a feed batch's payload after capture: its ops, and
+// whether the publisher checkpoints after the group that carries it.
+type capturedBatch struct {
+	ops        []capturedOp
+	checkpoint bool
+}
+
+// feedCapture is one feed's commit-loop state: the exchange cadence and the
+// entities held back because they have deferred volatile ops (entity → the
+// source that last touched it). Only the commit loop and OnClose touch it.
+type feedCapture struct {
+	p             *Platform
+	exchangeEvery int
+	sinceExchange int
+	held          map[triple.EntityID]string
+}
+
+// capture is the feed's OnCommit hook (commit loop, ordered). Every
+// exchangeEvery batches, and at every barrier and checkpoint, it runs the
+// cross-partition exchange first (FlushVolatile; a no-op on one partition)
+// and captures the held-back entities at their now-final state. It then
+// captures the batch's touched entities, holding back those that still have
+// deferred volatile ops, so the stores never observe a state a single
+// partition couldn't have published.
+func (c *feedCapture) capture(b *construct.FeedBatch) {
+	p := c.p
+	_, ckpt := b.Payload.(checkpointRequest)
+	if !b.Barrier {
+		c.sinceExchange++
+		ckpt = p.checkpointDue()
 	}
-	ops := make([]capturedOp, 0, len(b.Stats))
+	var ops []capturedOp
+	if b.Barrier || ckpt || c.sinceExchange >= c.exchangeEvery {
+		p.Pipeline.FlushVolatile()
+		c.sinceExchange = 0
+		ops = c.takeHeld()
+	}
+	deferred := p.Pipeline.PendingVolatile() > 0
 	for i := range b.Stats {
 		st := &b.Stats[i]
 		linkSrcs := linkKeysOf(*st)
@@ -749,19 +689,61 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 		}
 		op := capturedOp{source: st.Source, removed: st.Removed, linkSrcs: linkSrcs}
 		for _, id := range st.Touched {
+			if deferred && p.Pipeline.HasPending(id) {
+				c.held[id] = st.Source
+				continue
+			}
+			delete(c.held, id)
 			if e := p.KG.Graph.GetShared(id); e != nil {
 				op.upserts = append(op.upserts, e)
 			}
 		}
+		for _, id := range st.Removed {
+			delete(c.held, id)
+		}
 		ops = append(ops, op)
 	}
-	b.Payload = ops
+	b.Payload = capturedBatch{ops: ops, checkpoint: ckpt}
 }
 
-// publishFeedGroup is the feed's Publish hook (publisher goroutine, ordered):
-// it retries any queued failed publishes, appends the group's captured
-// operations to the log, and catches every agent up — the expensive half of
-// the old synchronous publish path, now off the commit loop.
+// takeHeld captures every held-back entity at its current state (upsert if
+// present, delete if gone), in id order with consecutive same-source
+// entities sharing one op, and clears the held set.
+func (c *feedCapture) takeHeld() []capturedOp {
+	ids := make([]triple.EntityID, 0, len(c.held))
+	for id := range c.held {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var ops []capturedOp
+	for _, id := range ids {
+		if n := len(ops); n == 0 || ops[n-1].source != c.held[id] {
+			ops = append(ops, capturedOp{source: c.held[id]})
+		}
+		op := &ops[len(ops)-1]
+		if e := c.p.KG.Graph.GetShared(id); e != nil {
+			op.upserts = append(op.upserts, e)
+		} else {
+			op.removed = append(op.removed, id)
+		}
+	}
+	clear(c.held)
+	return ops
+}
+
+// close is the feed's OnClose hook: after the feed's last batch settled, one
+// final exchange turn captures and publishes whatever is still held back, so
+// a closed feed leaves every store reflecting every committed batch.
+func (c *feedCapture) close() {
+	b := &construct.FeedBatch{Barrier: true}
+	c.capture(b)
+	_ = c.p.publishFeedGroup([]*construct.FeedBatch{b}) //saga:errok failed publishes re-queue inside publishRaw and retry at the next publish point
+}
+
+// publishFeedGroup is the feed's Publish hook (publisher goroutine, ordered),
+// the platform's one publisher: it retries any queued failed publishes,
+// appends the group's captured operations to the log, catches every agent
+// up, and takes a checkpoint when a batch of the group asked for one.
 //
 // The group is the publisher's whole backlog, which enables conflation
 // (group commit): an entity touched by several batches of the group is
@@ -789,17 +771,11 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 	}
 	var evs []event
 	linkBySrc := make(map[string]map[triple.EntityID]bool)
-	published, wantCkpt := 0, false
+	wantCkpt := false
 	for _, b := range group {
-		if b.Barrier {
-			if _, ok := b.Payload.(checkpointRequest); ok {
-				wantCkpt = true
-			}
-			continue
-		}
-		published++
-		ops, _ := b.Payload.([]capturedOp)
-		for _, op := range ops {
+		cb, _ := b.Payload.(capturedBatch)
+		wantCkpt = wantCkpt || cb.checkpoint
+		for _, op := range cb.ops {
 			for _, e := range op.upserts {
 				evs = append(evs, event{source: op.source, id: e.ID, e: e})
 			}
@@ -884,194 +860,46 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 	if err := p.Engine.CatchUp(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if err := p.maybeCheckpoint(published, wantCkpt); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// publishPartitionedGroup is the partitioned feed's Publish hook (publisher
-// goroutine, ordered). It folds the group's per-entity events into the carry
-// set (last writer wins), then either publishes everything — after running a
-// cross-partition exchange, every exchangeEvery batches — or publishes only
-// the entities whose state is already final, carrying the volatile-deferred
-// rest to the next exchange. Deferral is the partitioned win on churn-heavy
-// streams: an entity overwritten in every batch of an exchange window costs
-// one graph write, one log op, and one replay instead of one per batch.
-func (p *Platform) publishPartitionedGroup(group []*construct.FeedBatch) error {
-	p.pubMu.Lock()
-	published, wantCkpt := 0, false
-	for _, b := range group {
-		if b.Barrier {
-			if _, ok := b.Payload.(checkpointRequest); ok {
-				wantCkpt = true
-			}
-			continue
-		}
-		published++
-		for i := range b.Stats {
-			st := &b.Stats[i]
-			for _, id := range st.Touched {
-				p.pubCarry[id] = st.Source
-			}
-			for _, id := range st.Removed {
-				p.pubCarry[id] = st.Source
-			}
-			for src := range st.Links {
-				p.linkCarry[src] = true
-			}
-			for _, src := range st.Unlinks {
-				p.linkCarry[src] = true
-			}
-		}
-	}
-	p.pubBatches += published
-	// A checkpoint turn forces a full exchange first: the snapshot then
-	// covers the deferred volatile backlog and the whole carry set, so the
-	// checkpoint is a true batch-boundary state.
-	exchange := p.pubBatches >= p.exchangeEvery || wantCkpt
-	if exchange {
-		p.Partitioned.FlushVolatile()
-		p.pubBatches = 0
-	}
-	firstErr := p.publishCarryLocked(!exchange)
-	p.pubMu.Unlock()
-	if err := p.maybeCheckpoint(published, wantCkpt); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// publishCarryLocked publishes carried entities at their current KG state
-// (upsert if present, delete if gone — the same convergent capture
-// flushPending uses) and catches every agent up. With skipPending, entities
-// whose volatile backlog has not flushed stay carried so the stores never
-// observe a state the single pipeline couldn't have published. Callers hold
-// pubMu.
-func (p *Platform) publishCarryLocked(skipPending bool) error {
-	firstErr := p.flushPending()
-	ids := make([]triple.EntityID, 0, len(p.pubCarry))
-	for id := range p.pubCarry {
-		if skipPending && p.Partitioned.HasPending(id) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var (
-		runSource  string
-		runUpserts []*triple.Entity
-		runRemoved []triple.EntityID
-	)
-	flush := func() {
-		if len(runUpserts) == 0 && len(runRemoved) == 0 {
-			return
-		}
-		if err := p.publishRaw(runSource, runUpserts, runRemoved, nil); err != nil && firstErr == nil {
+	if wantCkpt {
+		if _, err := p.runCheckpoint(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	for _, id := range ids {
-		source := p.pubCarry[id]
-		if source != runSource {
-			flush()
-			runSource, runUpserts, runRemoved = source, nil, nil
-		}
-		if e := p.KG.Graph.GetShared(id); e != nil {
-			runUpserts = append(runUpserts, e)
-		} else {
-			runRemoved = append(runRemoved, id)
-		}
-		delete(p.pubCarry, id)
-	}
-	flush()
-	// Carried link-table deltas publish with every carry round (links settle
-	// at commit, so publish-time resolution is already final; deferral would
-	// only delay recovery's view of the table).
-	if len(p.linkCarry) > 0 {
-		srcs := make([]triple.EntityID, 0, len(p.linkCarry))
-		for src := range p.linkCarry {
-			srcs = append(srcs, src)
-			delete(p.linkCarry, src)
-		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-		if err := p.publishRaw("construction", nil, nil, srcs); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := p.Engine.CatchUp(); err != nil && firstErr == nil {
-		firstErr = err
-	}
 	return firstErr
 }
 
-// finalExchange forces a cross-partition exchange and publishes the whole
-// carry set; the partitioned drain path runs it so direct readers of the
-// serving stores observe fully exchanged, fully published state. Publish
-// errors stay queued for retry (flushPending), exactly like the single
-// pipeline's failed publishes.
-func (p *Platform) finalExchange() {
-	if p.Partitioned == nil {
-		return
-	}
-	p.pubMu.Lock()
-	defer p.pubMu.Unlock()
-	p.Partitioned.FlushVolatile()
-	p.pubBatches = 0
-	_ = p.publishCarryLocked(false) //saga:errok failed publishes re-queue inside publishRaw and retry at the next publish point
-}
-
-// openFeed returns the standing feed if one is open, nil otherwise.
-func (p *Platform) openFeed() *construct.Feed {
-	p.feedMu.Lock()
-	defer p.feedMu.Unlock()
-	if p.feed != nil && !p.feed.Closed() {
-		return p.feed
-	}
-	return nil
-}
-
-// drainFeed waits until the standing feed (if there is one — open or still
-// closing) has committed and published every batch submitted before this
-// call, so direct readers of the serving stores observe a state that
-// includes them. Batch errors surface on the per-batch result channels, not
-// here. Batches submitted concurrently with the drain land afterwards —
-// callers that need a quiescent platform (for example curation runs) should
-// stop submitting or Close the feed first.
+// drainFeed takes a barrier turn through the feed, so direct readers of the
+// serving stores observe a state that includes every batch submitted before
+// the call, fully exchanged and published. Batch errors surface on the
+// per-batch result channels, not here. Batches submitted concurrently with
+// the drain land afterwards — callers that need a quiescent platform (for
+// example curation runs) should stop submitting or Close the feed first.
 func (p *Platform) drainFeed() {
-	p.feedMu.Lock()
-	f := p.feed
-	p.feedMu.Unlock()
-	if f != nil {
-		f.Drain()
-	}
-	// Partitioned mode: the drained batches may have deferred volatile state
-	// and carried (unpublished) entities; exchange and publish them so the
-	// graph and every store reflect the drained batches completely.
-	p.finalExchange()
+	p.await(func(f *construct.Feed) <-chan construct.BatchResult { return f.Barrier(nil) })
 }
 
 // Close shuts the platform down, in dependency order: the standing feed (if
-// open) is closed and its backlog published, deferred partitioned state is
-// settled, the background compactor is stopped and waited for, and only then
-// do the operation log, staging store, checkpoint store, entity store, and
-// text index release their storage backends (for durable backends that also
-// syncs and closes their files) — so no compaction or publish can race a
-// closing store, and a clean Close leaves no deferred exchanges or orphaned
-// segments behind. Close is not safe concurrently with other platform calls;
-// the platform is unusable afterwards. Reopen with Open to recover.
+// open) is closed and its backlog exchanged and published, the background
+// compactor is stopped and waited for, and only then do the operation log,
+// staging store, checkpoint store, entity store, and text index release
+// their storage backends (for durable backends that also syncs and closes
+// their files) — so no compaction or publish can race a closing store, and
+// a clean Close leaves no deferred exchanges or orphaned segments behind.
+// Close is not safe concurrently with other platform calls; the platform is
+// unusable afterwards. Reopen with Open to recover.
 func (p *Platform) Close() error {
 	p.feedMu.Lock()
 	f := p.feed
 	p.feedMu.Unlock()
 	var firstErr error
-	if f != nil && !f.Closed() {
-		if err := f.Close(); err != nil {
+	if f != nil {
+		// A feed closed earlier has reported its errors already; Close still
+		// waits for it to settle.
+		closed := f.Closed()
+		if err := f.Close(); err != nil && !closed {
 			firstErr = err
 		}
 	}
-	// Settle any deferred partitioned state before the log closes.
-	p.finalExchange()
 	p.stopCompactor()
 	if p.Checkpoints != nil {
 		if err := p.Checkpoints.Close(); err != nil && firstErr == nil {
@@ -1097,13 +925,14 @@ func (p *Platform) Close() error {
 // KG when the platform has a checkpoint store — and materializes all
 // registered views over a consistent snapshot of the graph replica. The
 // snapshot is copy-on-write (O(shards), not O(|KG|)), so a view refresh on a
-// large graph neither pays a deep copy nor stalls concurrent commits. With a
-// standing feed open the checkpoint rides the feed's ordered publisher (a
-// barrier turn), covering every batch submitted before this call without
+// large graph neither pays a deep copy nor stalls concurrent commits. The
+// checkpoint rides the feed's ordered publisher (a barrier turn, which also
+// exchanges), covering every batch submitted before this call without
 // stalling the commit loop.
 func (p *Platform) Checkpoint() (views.RunStats, error) {
-	if err := p.checkpointNow(); err != nil {
-		return views.RunStats{}, err
+	res := p.await(func(f *construct.Feed) <-chan construct.BatchResult { return f.Barrier(checkpointRequest{}) })
+	if res.Err != nil {
+		return views.RunStats{}, res.Err
 	}
 	names := p.ViewCatalog.Names()
 	if len(names) == 0 {
@@ -1117,37 +946,16 @@ func (p *Platform) Checkpoint() (views.RunStats, error) {
 // for a checkpoint at the barrier's ordered turn.
 type checkpointRequest struct{}
 
-// checkpointNow takes one checkpoint: through the open feed's ordered
-// publisher when there is one, directly otherwise.
-func (p *Platform) checkpointNow() error {
-	if f := p.openFeed(); f != nil {
-		res := <-f.Barrier(checkpointRequest{})
-		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			return res.Err
-		}
-		// Closed between openFeed and Barrier: settle its backlog, then
-		// checkpoint directly.
-		f.Drain()
-	}
-	p.drainFeed() // also settles deferred partitioned state
-	if err := p.flushPending(); err != nil {
-		return err
-	}
-	_, err := p.runCheckpoint()
-	return err
-}
-
 // RefreshServing pushes the stable KG into the live store (the stable view
 // the live KG unions with streaming sources) with importance-based boosts,
 // and points live mention resolution plus the intent handler at NERD when
-// built. An open standing feed is drained first and queued publish retries
-// are flushed, so the stable view includes every batch submitted before this
+// built. The feed is drained first (which also retries queued failed
+// publishes), so the stable view includes every batch submitted before this
 // call (best-effort: a still-failing engine leaves the replica at its last
-// converged state).
+// converged state). Entities gone from the KG since the last refresh leave
+// the live store.
 func (p *Platform) RefreshServing() {
 	p.drainFeed()
-	_ = p.flushPending()
-	_ = p.Engine.CatchUp() // converge agents on whatever reached the log
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	boosts := make(map[triple.EntityID]float64, len(scores))
 	var stable []*triple.Entity
@@ -1170,16 +978,10 @@ func (p *Platform) RefreshServing() {
 // the graph or blocks replica writes for the duration.
 func (p *Platform) BuildNERD() *nerd.NERD {
 	p.drainFeed()
-	_ = p.flushPending()
-	_ = p.Engine.CatchUp()
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	view := nerd.BuildEntityView(p.GraphReplica.Snapshot(), scores)
 	p.NERD = nerd.New(view, nerd.NewModel(nil))
-	if p.Partitioned != nil {
-		p.Partitioned.Resolver = p.NERD
-	} else {
-		p.Pipeline.Resolver = p.NERD
-	}
+	p.Pipeline.Resolver = p.NERD
 	p.LiveConstructor.Resolver = p.NERD
 	p.Intents.Resolver = p.NERD
 	return p.NERD
@@ -1242,7 +1044,7 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 		// Curation writes bypass the construction pipeline, so report the
 		// touched entity to the pipeline's KG-derived caches (block index,
 		// alias-resolver cache) ourselves.
-		p.refreshKGCaches(d.Entity)
+		p.Pipeline.RefreshKGCaches(d.Entity)
 		// Publish the hot fix so every store converges.
 		if d.Kind == live.DecisionBlockEntity {
 			if _, err := p.Engine.PublishDelete(live.CurationSource, []triple.EntityID{d.Entity}); err != nil {
@@ -1257,22 +1059,9 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 	return len(decisions), p.Engine.CatchUp()
 }
 
-// refreshKGCaches reports direct graph writes to whichever construction
-// pipeline owns the KG-derived caches.
-func (p *Platform) refreshKGCaches(ids ...triple.EntityID) {
-	if p.Partitioned != nil {
-		p.Partitioned.RefreshKGCaches(ids...)
-		return
-	}
-	p.Pipeline.RefreshKGCaches(ids...)
-}
-
 // DrainConflicts returns and clears the construction pipeline's accumulated
-// fusion conflicts, whichever pipeline mode the platform runs.
+// fusion conflicts.
 func (p *Platform) DrainConflicts() []construct.Conflict {
-	if p.Partitioned != nil {
-		return p.Partitioned.DrainConflicts()
-	}
 	return p.Pipeline.DrainConflicts()
 }
 
@@ -1282,47 +1071,28 @@ type Stats struct {
 	Links        int
 	LogLSN       uint64
 	LiveEntities int
-	// BlockIndex reports the incremental linking index (zero when the
-	// platform runs full-scan linking).
+	// BlockIndex reports the incremental linking indexes, summed over
+	// partitions.
 	BlockIndex construct.BlockIndexStats
 	// Fusion reports the commit phase's fusion traffic; Payloads/Targets is
 	// the per-target batching amortization.
 	Fusion construct.FusionStats
-	// Partitions is the construction partition count (0 in single-pipeline
-	// mode); Volatile counts partitioned mode's deferred-overwrite traffic.
+	// Partitions is the construction partition count; Volatile counts the
+	// deferred-overwrite traffic (zero on one partition).
 	Partitions int
 	Volatile   construct.VolatileBacklogStats
 }
 
 // Stats gathers platform statistics.
 func (p *Platform) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Graph:        p.KG.Graph.Stats(),
 		Links:        p.KG.LinkCount(),
 		LogLSN:       p.Engine.Log.LastLSN(),
 		LiveEntities: p.Live.Len(),
+		BlockIndex:   p.Pipeline.BlockIndexStats(),
+		Fusion:       p.Pipeline.FusionStats(),
+		Partitions:   p.Pipeline.Partitions(),
+		Volatile:     p.Pipeline.VolatileStats(),
 	}
-	if p.Partitioned != nil {
-		st.Fusion = p.Partitioned.FusionStats()
-		st.Partitions = p.Partitioned.Partitions()
-		st.Volatile = p.Partitioned.VolatileStats()
-		// Aggregate the per-partition block indexes into one platform view.
-		for _, part := range p.Partitioned.Parts() {
-			if part.Index == nil {
-				continue
-			}
-			s := part.Index.Stats()
-			st.BlockIndex.Entities += s.Entities
-			st.BlockIndex.Types += s.Types
-			st.BlockIndex.Keys += s.Keys
-			st.BlockIndex.Probes += s.Probes
-			st.BlockIndex.Refreshes += s.Refreshes
-		}
-		return st
-	}
-	st.Fusion = p.Pipeline.FusionStats()
-	if p.Pipeline.Index != nil {
-		st.BlockIndex = p.Pipeline.Index.Stats()
-	}
-	return st
 }

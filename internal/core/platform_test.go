@@ -240,3 +240,41 @@ func TestStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestRefreshServingDropsDeletedEntities: an entity deleted from the KG must
+// leave the live store at the next RefreshServing, while live-stream
+// entities the stable view never loaded stay.
+func TestRefreshServingDropsDeletedEntities(t *testing.T) {
+	p := newTestPlatform(t, Options{})
+	d := workload.SourceSpec{Name: "solo", Count: 1, Seed: 3}.Delta()
+	src := d.Added[0].ID
+	if _, err := p.ConsumeDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	kgID, ok := p.KG.Lookup(src)
+	if !ok {
+		t.Fatalf("%s not linked", src)
+	}
+	p.RefreshServing()
+	if p.Live.Get(kgID) == nil {
+		t.Fatalf("%s not served after RefreshServing", kgID)
+	}
+	liveID, err := p.LiveConstructor.Consume(live.Event{Source: "scores", ID: "g1", Type: "game",
+		Facts: map[string]triple.Value{"home_score": triple.Int(3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ConsumeDelta(ingest.Delta{Source: "solo", Deleted: []triple.EntityID{src}}); err != nil {
+		t.Fatal(err)
+	}
+	if p.KG.Graph.Has(kgID) {
+		t.Fatalf("deleting the only record left %s in the KG", kgID)
+	}
+	p.RefreshServing()
+	if p.Live.Get(kgID) != nil {
+		t.Fatalf("live store still serves %s after it left the KG", kgID)
+	}
+	if p.Live.Get(liveID) == nil {
+		t.Fatal("RefreshServing dropped a live-stream entity")
+	}
+}

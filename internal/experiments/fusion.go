@@ -119,7 +119,7 @@ func BatchedFusion(workers int) (BatchedFusionResult, error) {
 	}
 	run := func(perEntity, pipelined bool) (runResult, error) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont)
+		p := construct.NewPipeline(kg, ont, 1)
 		p.Workers = workers
 		p.PerEntityFusion = perEntity
 		p.EnableBlockIndex()

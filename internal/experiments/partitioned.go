@@ -297,8 +297,8 @@ func HotKeySkew(workers int) (HotKeySkewResult, error) {
 				res.PayloadsPerTarget = float64(fu.Payloads) / float64(fu.Targets)
 			}
 			total, max := 0, 0
-			for _, part := range many.Partitioned.Parts() {
-				pay := part.FusionStats().Payloads
+			for _, part := range many.Pipeline.PartitionFusionStats() {
+				pay := part.Payloads
 				total += pay
 				if pay > max {
 					max = pay

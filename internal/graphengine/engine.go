@@ -337,11 +337,14 @@ func (e *Engine) Replay(after uint64, fn func(op oplog.Op, entities []*triple.En
 // store retains that the checkpoint does not — e.g. a delete op at or below
 // the watermark that the store had not yet applied when the process died),
 // and has its LSN pinned to the watermark so the next CatchUp replays only
-// the suffix. Callers invoke Restore once, after registering agents and
-// before the first CatchUp.
+// the suffix. The log resumes past the watermark too, so the next publish is
+// above every restored agent even when compaction dropped the ops at it.
+// Callers invoke Restore once, after registering agents and before the first
+// CatchUp.
 func (e *Engine) Restore(w uint64, entities []*triple.Entity, stale []triple.EntityID) error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
+	e.Log.ResumeAfter(w)
 	e.mu.RLock()
 	agents := append([]Agent(nil), e.agents...)
 	e.mu.RUnlock()

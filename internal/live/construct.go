@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"saga/internal/triple"
 )
@@ -57,6 +58,11 @@ type Constructor struct {
 	Resolver EntityResolver
 	// MinConfidence rejects resolutions below this confidence; default 0.5.
 	MinConfidence float64
+
+	// stableMu guards stable, the ids of the last LoadStableView, so the
+	// next load can retract the ones the stable graph no longer holds.
+	stableMu sync.Mutex
+	stable   map[triple.EntityID]bool
 }
 
 // LiveID returns the live KG identifier of an event entity.
@@ -118,9 +124,21 @@ func (c *Constructor) Consume(ev Event) (triple.EntityID, error) {
 
 // LoadStableView seeds the live store with a view of the stable graph: the
 // live KG is the union of this view with the streaming sources (§4). boosts
-// carries entity importance for ranking (nil means no boosts).
+// carries entity importance for ranking (nil means no boosts). Entities the
+// previous load put that are missing from this one were deleted from the
+// stable graph and leave the store; live-stream entities are never touched.
 func (c *Constructor) LoadStableView(entities []*triple.Entity, boosts map[triple.EntityID]float64) {
+	c.stableMu.Lock()
+	defer c.stableMu.Unlock()
+	loaded := make(map[triple.EntityID]bool, len(entities))
 	for _, e := range entities {
 		c.Store.Put(e, boosts[e.ID])
+		loaded[e.ID] = true
 	}
+	for id := range c.stable {
+		if !loaded[id] {
+			c.Store.Delete(id)
+		}
+	}
+	c.stable = loaded
 }

@@ -179,6 +179,20 @@ func (l *Log) Append(op Op) (uint64, error) {
 	return op.LSN, nil
 }
 
+// ResumeAfter raises the LSN counter to at least w, so the next append lands
+// above it. Recovery calls it with the restored checkpoint's watermark:
+// compaction may have dropped the ops at the top of the prefix (the
+// checkpoint marker at w among them), and a log reopened over the rewrite
+// would otherwise resume below w and hand a new op an LSN that every agent
+// restored at w treats as already applied.
+func (l *Log) ResumeAfter(w uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if w > l.lastLSN {
+		l.lastLSN = w
+	}
+}
+
 // LastLSN returns the LSN of the most recent operation, or 0 when empty.
 func (l *Log) LastLSN() uint64 {
 	l.mu.RLock()
